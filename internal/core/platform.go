@@ -552,15 +552,24 @@ func (p *Platform) Lifecycle() *lifecycle.Engine { return p.lifec }
 
 // expireEvent is the lifecycle engine's expiry hook: the deletion goes
 // through the TIP (tombstoning the replicated change log so mesh peers
-// and subscription engines converge on the removal) and the dashboard
-// forgets the indicator's rIoCs.
+// and subscription engines converge on the removal) and the platform
+// forgets the indicator downstream.
 func (p *Platform) expireEvent(uuid string) error {
 	if err := p.tip.DeleteEvent(uuid); err != nil && !errors.Is(err, storage.ErrNotFound) {
 		return err
 	}
+	p.forget(uuid)
+	return nil
+}
+
+// forget drops what a retracted eIoC left downstream of the store: its
+// dashboard rIoCs, its trace and the STIX objects it shared over TAXII.
+func (p *Platform) forget(uuid string) {
 	p.dash.DropEventRIoCs(uuid)
 	p.tracer.Drop(uuid)
-	return nil
+	if p.taxiiSrv != nil {
+		p.taxiiSrv.WithdrawEvent(TAXIICollection, uuid)
+	}
 }
 
 // TAXII returns the sharing server, or nil when disabled.
@@ -762,14 +771,13 @@ func (p *Platform) composeAndStore(events []normalize.Event) ([]*misp.Event, err
 	}
 	var errs []error
 	// Retract absorbed identities first: their members are already carried
-	// by the surviving cluster's edit in the same delta, so the TIP and
-	// the dashboard never count them twice.
+	// by the surviving cluster's edit in the same delta, so the TIP, the
+	// dashboard and the TAXII collection never count them twice.
 	for _, uuid := range delta.Removed {
 		if err := p.tip.DeleteEvent(uuid); err != nil && !errors.Is(err, storage.ErrNotFound) {
 			errs = append(errs, fmt.Errorf("core: retract merged cluster %s: %w", uuid, err))
 		}
-		p.dash.DropEventRIoCs(uuid)
-		p.tracer.Drop(uuid)
+		p.forget(uuid)
 	}
 	now := p.clk.Now()
 	batch := make([]*misp.Event, 0, len(delta.New)+len(delta.Updated))

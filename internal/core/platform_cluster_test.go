@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"github.com/caisplatform/caisp/internal/heuristic"
 	"github.com/caisplatform/caisp/internal/misp"
 	"github.com/caisplatform/caisp/internal/normalize"
+	"github.com/caisplatform/caisp/internal/taxii"
 	"github.com/caisplatform/caisp/internal/tip"
 )
 
@@ -309,5 +311,142 @@ func TestStreamingClusterStress(t *testing.T) {
 	}
 	if len(ciocs) != campaigns {
 		t.Fatalf("stored cIoC events = %d, want %d", len(ciocs), campaigns)
+	}
+}
+
+// sharedIDs returns the ids in the platform's TAXII collection, each
+// mapped to the eIoC (x_misp_event_uuid) its current version was shared
+// for.
+func sharedIDs(t *testing.T, p *Platform) map[string]string {
+	t.Helper()
+	srv := httptest.NewServer(p.TAXII())
+	defer srv.Close()
+	objs, err := taxii.NewClient(srv.URL, "").AllObjects("caisp", TAXIICollection, time.Time{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]string, len(objs))
+	for _, o := range objs {
+		c := o.GetCommon()
+		if _, dup := out[c.ID]; dup {
+			t.Fatalf("collection holds %s twice", c.ID)
+		}
+		out[c.ID], _ = c.ExtraString("x_misp_event_uuid")
+	}
+	if n := p.TAXII().ObjectCount(TAXIICollection); n != len(out) {
+		t.Fatalf("ObjectCount = %d, collection reads %d ids", n, len(out))
+	}
+	return out
+}
+
+// scoredIDs returns the ids of the SDOs analysis shares for the stored
+// event uuid: those the heuristic engine scores.
+func scoredIDs(t *testing.T, p *Platform, uuid string) map[string]bool {
+	t.Helper()
+	me, err := p.TIP().GetEvent(uuid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bundle, err := misp.ToSTIX(me)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]bool)
+	for _, obj := range bundle.Objects {
+		if _, err := p.Engine().Evaluate(obj); err == nil {
+			out[obj.GetCommon().ID] = true
+		}
+	}
+	return out
+}
+
+// TestTAXIIHoldsOneVersionPerObject: re-analysing a growing cluster
+// re-shares its SDOs every time, yet the collection keeps one current
+// version per id, each naming the cluster.
+func TestTAXIIHoldsOneVersionPerObject(t *testing.T) {
+	p := newPlatform(t, Config{ShareTAXII: true})
+	campaign := map[string]string{"campaign": "op-grow", "os": "debian"}
+	var cluster string
+	for i := 0; i < 8; i++ {
+		stored, err := p.composeAndStore([]normalize.Event{
+			ctxEvent(t, fmt.Sprintf("CVE-2018-%04d", 1000+i), normalize.CategoryVulnExploit, campaign),
+		})
+		if err != nil || len(stored) != 1 {
+			t.Fatalf("flush %d: %v, %d stored", i, err, len(stored))
+		}
+		cluster = stored[0].UUID
+		if err := p.analyzeAll(stored); err != nil {
+			t.Fatal(err)
+		}
+		shared, want := sharedIDs(t, p), scoredIDs(t, p, cluster)
+		if len(want) != i+1 || len(shared) != len(want) {
+			t.Fatalf("after %d revisions: collection holds %d ids, cluster scores %d, want %d",
+				i+1, len(shared), len(want), i+1)
+		}
+		for id, event := range shared {
+			if !want[id] || event != cluster {
+				t.Fatalf("collection holds %s for %q, not a scored SDO of %s", id, event, cluster)
+			}
+		}
+	}
+}
+
+// TestTAXIIWithdrawsRetractedEIoCs: an eIoC's shared objects leave the
+// collection when a merge retracts it and when lifecycle expiry deletes
+// it.
+func TestTAXIIWithdrawsRetractedEIoCs(t *testing.T) {
+	p := newPlatform(t, Config{ShareTAXII: true})
+	flush := func(value string, ctx map[string]string) *misp.Event {
+		t.Helper()
+		stored, err := p.composeAndStore([]normalize.Event{ctxEvent(t, value, normalize.CategoryVulnExploit, ctx)})
+		if err != nil || len(stored) != 1 {
+			t.Fatalf("flush %s: %v, %d stored", value, err, len(stored))
+		}
+		if err := p.analyzeAll(stored); err != nil {
+			t.Fatal(err)
+		}
+		return stored[0]
+	}
+	a := flush("CVE-2019-0001", map[string]string{"campaign": "op-a"}).UUID
+	b := flush("CVE-2019-0002", map[string]string{"malware": "m-b"}).UUID
+	owners := func() map[string]int {
+		out := make(map[string]int)
+		for _, event := range sharedIDs(t, p) {
+			out[event]++
+		}
+		return out
+	}
+	if got := owners(); a == b || got[a] != 1 || got[b] != 1 {
+		t.Fatalf("before the merge: %v, want one object each for %s and %s", got, a, b)
+	}
+
+	// The bridge merges b into a: b is retracted at once, before the
+	// survivor is re-analysed.
+	stored, err := p.composeAndStore([]normalize.Event{ctxEvent(t, "CVE-2019-0003",
+		normalize.CategoryVulnExploit, map[string]string{"campaign": "op-a", "malware": "m-b"})})
+	if err != nil || len(stored) != 1 || stored[0].UUID != a {
+		t.Fatalf("merge flush stored %d events (%v), want the survivor %s", len(stored), err, a)
+	}
+	if got := owners(); got[b] != 0 || got[a] != 1 {
+		t.Fatalf("after the merge: %v, want %s withdrawn", got, b)
+	}
+	if err := p.analyzeAll(stored); err != nil {
+		t.Fatal(err)
+	}
+	if got := owners(); len(got) != 1 || got[a] != 3 {
+		t.Fatalf("after re-analysis: %v, want 3 objects of %s", got, a)
+	}
+
+	// Expiry far past every decay horizon deletes the eIoC and withdraws
+	// what it shared.
+	res, err := p.Lifecycle().RunOnce(batchTime.AddDate(20, 0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Expired != 1 || p.TIP().Len() != 0 {
+		t.Fatalf("expiry: %+v, %d events left", res, p.TIP().Len())
+	}
+	if got := owners(); len(got) != 0 {
+		t.Fatalf("after expiry the collection still holds %v", got)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"github.com/caisplatform/caisp/internal/misp"
 	"github.com/caisplatform/caisp/internal/normalize"
 )
 
@@ -296,6 +297,72 @@ func TestToMISPCVEWithVector(t *testing.T) {
 	}
 	if got := me.FindAttribute("cvss-vector"); got == nil {
 		t.Fatal("cvss vector attribute missing")
+	}
+}
+
+// TestToMISPStableAttributeUUIDs: recomposing a grown cluster keeps every
+// surviving member's attribute UUIDs, and no two attributes of one event
+// share a UUID, even when a member carries several of one type.
+func TestToMISPStableAttributeUUIDs(t *testing.T) {
+	cve := func(id string) normalize.Event {
+		e := ev(t, id, normalize.CategoryVulnExploit)
+		e.Context = map[string]string{
+			"campaign":      "op-wave",
+			"cvss-vector":   "CVSS:3.0/AV:N/AC:H/PR:N/UI:N/S:U/C:H/I:H/A:H",
+			"os":            "debian",
+			"products":      "apache struts",
+			"references":    "https://a.example/1, https://a.example/2",
+			"classified_as": "exploit",
+		}
+		return e
+	}
+	inc := NewIncremental()
+	d1 := inc.Add([]normalize.Event{cve("CVE-2017-9805")})
+	d2 := inc.Add([]normalize.Event{cve("CVE-2017-5638")})
+	if len(d1.New) != 1 || len(d2.Updated) != 1 || d2.Updated[0].ID != d1.New[0].ID {
+		t.Fatalf("deltas = %+v then %+v, want one cluster grown", d1, d2)
+	}
+	before, err := ToMISP(&d1.New[0], seen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, err := ToMISP(&d2.Updated[0], seen.Add(time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := after.Validate(); err != nil {
+		t.Fatalf("grown event invalid: %v", err)
+	}
+	uuids := func(me *misp.Event) map[string]string {
+		out := make(map[string]string, len(me.Attributes))
+		for _, a := range me.Attributes {
+			if prev, dup := out[a.UUID]; dup {
+				t.Fatalf("attributes %q and %q share UUID %s", prev, a.Value, a.UUID)
+			}
+			out[a.UUID] = a.Value
+		}
+		return out
+	}
+	old, grown := uuids(before), uuids(after)
+	if len(old) != 7 || len(grown) != 2*len(old) {
+		t.Fatalf("attributes = %d then %d, want 7 then 14", len(old), len(grown))
+	}
+	for id, value := range old {
+		if grown[id] != value {
+			t.Fatalf("attribute %q lost UUID %s in the grown cluster", value, id)
+		}
+	}
+	// Another cluster holding the same member gets its own UUIDs.
+	other := d1.New[0]
+	other.ID = "00000000-0000-4000-8000-000000000001"
+	elsewhere, err := ToMISP(&other, seen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := range uuids(elsewhere) {
+		if _, clash := old[id]; clash {
+			t.Fatalf("attribute UUID %s repeated across clusters", id)
+		}
 	}
 }
 

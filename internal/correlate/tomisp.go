@@ -2,11 +2,13 @@ package correlate
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
 	"github.com/caisplatform/caisp/internal/misp"
 	"github.com/caisplatform/caisp/internal/normalize"
+	"github.com/caisplatform/caisp/internal/uuid"
 )
 
 // attributeType maps a normalized IoC type onto the MISP attribute type the
@@ -63,7 +65,27 @@ func ToMISP(c *ComposedIoC, now time.Time) (*misp.Event, error) {
 	for _, key := range c.CorrelationKeys {
 		e.AddTag("caisp:correlated-by=\"" + key + "\"")
 	}
-	for _, ev := range c.Events {
+	// Attribute UUIDs are UUIDv5 over (cluster, member, type), with an
+	// ordinal for a member's second and later attributes of one type, so
+	// a member keeps its attribute UUIDs — and its shared STIX bytes —
+	// across cluster revisions. Member IDs are unique within a cluster,
+	// so no two attributes of the event share a UUID.
+	var name []byte
+	add := func(ev *normalize.Event, first int, typ, category, value string, at time.Time) *misp.Attribute {
+		n := 0
+		for i := first; i < len(e.Attributes); i++ {
+			if e.Attributes[i].Type == typ {
+				n++
+			}
+		}
+		name = append(append(append(append(append(name[:0], c.ID...), 0), ev.ID...), 0), typ...)
+		if n > 0 {
+			name = strconv.AppendInt(append(name, 0), int64(n), 10)
+		}
+		return e.AddAttributeWithUUID(uuid.NewV5(uuid.NamespaceCAISP, name).String(), typ, category, value, at)
+	}
+	for i := range c.Events {
+		ev, first := &c.Events[i], len(e.Attributes)
 		typ, ok := attributeType[ev.Type]
 		if !ok {
 			typ = "text"
@@ -84,31 +106,31 @@ func ToMISP(c *ComposedIoC, now time.Time) (*misp.Event, error) {
 				at = ts.UTC()
 			}
 		}
-		attr := e.AddAttribute(typ, category, ev.Value, at)
-		attr.Comment = attributeComment(ev)
+		attr := add(ev, first, typ, category, ev.Value, at)
+		attr.Comment = attributeComment(*ev)
 		// NLP classification verdicts ride to SIEM consumers ("the
 		// prediction confidence of the classifier can be included in the
 		// data sent to SIEMs", §II-A).
 		if class, ok := ev.Context["classified_as"]; ok {
-			e.AddAttribute("text", "Other",
+			add(ev, first, "text", "Other",
 				"classification:"+class+" confidence:"+ev.Context["classifier_confidence"], at)
 		}
 		if typ == "vulnerability" {
 			if v, ok := ev.Context["cvss-vector"]; ok {
-				e.AddAttribute("cvss-vector", "External analysis", v, at)
+				add(ev, first, "cvss-vector", "External analysis", v, at)
 			}
 			// Context that the heuristic's accuracy features consume rides
 			// along as prefixed text attributes (see misp.ToSTIX).
 			if v, ok := ev.Context["os"]; ok {
-				e.AddAttribute("text", "Other", "os:"+v, at)
+				add(ev, first, "text", "Other", "os:"+v, at)
 			}
 			if v, ok := ev.Context["products"]; ok {
-				e.AddAttribute("text", "Other", "products:"+v, at)
+				add(ev, first, "text", "Other", "products:"+v, at)
 			}
 			if refs, ok := ev.Context["references"]; ok {
 				for _, ref := range strings.Split(refs, ",") {
 					if ref = strings.TrimSpace(ref); ref != "" {
-						e.AddAttribute("link", "External analysis", ref, at)
+						add(ev, first, "link", "External analysis", ref, at)
 					}
 				}
 			}

@@ -137,8 +137,14 @@ func NewEvent(info string, now time.Time) *Event {
 
 // AddAttribute appends a new attribute and returns a pointer to it.
 func (e *Event) AddAttribute(typ, category, value string, now time.Time) *Attribute {
+	return e.AddAttributeWithUUID(uuid.NewV4().String(), typ, category, value, now)
+}
+
+// AddAttributeWithUUID appends an attribute under the given UUID and
+// returns a pointer to it.
+func (e *Event) AddAttributeWithUUID(id, typ, category, value string, now time.Time) *Attribute {
 	e.Attributes = append(e.Attributes, Attribute{
-		UUID:      uuid.NewV4().String(),
+		UUID:      id,
 		Type:      typ,
 		Category:  category,
 		Value:     value,

@@ -84,9 +84,9 @@ func IDType(id string) string {
 	return typ
 }
 
-// timestampLayout is the STIX 2.0 serialization of timestamps: RFC 3339 in
+// TimestampLayout is the STIX 2.0 serialization of timestamps: RFC 3339 in
 // UTC with millisecond precision and a literal Z designator.
-const timestampLayout = "2006-01-02T15:04:05.000Z"
+const TimestampLayout = "2006-01-02T15:04:05.000Z"
 
 // Timestamp is a STIX timestamp. It marshals in the exact format mandated by
 // the specification and accepts any RFC 3339 subsecond precision on input.
@@ -102,7 +102,7 @@ func (t Timestamp) MarshalJSON() ([]byte, error) {
 	if t.IsZero() {
 		return []byte(`null`), nil
 	}
-	return []byte(`"` + t.UTC().Format(timestampLayout) + `"`), nil
+	return []byte(`"` + t.UTC().Format(TimestampLayout) + `"`), nil
 }
 
 // UnmarshalJSON accepts RFC 3339 timestamps with any fractional precision.

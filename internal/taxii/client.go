@@ -85,15 +85,25 @@ func (c *Client) AllObjects(apiRoot, collectionID string, addedAfter time.Time) 
 	}
 }
 
-// ManifestEntries fetches the collection manifest.
+// ManifestEntries fetches the whole collection manifest, following next
+// tokens across pages.
 func (c *Client) ManifestEntries(apiRoot, collectionID string, addedAfter time.Time) ([]ManifestEntry, error) {
 	params := url.Values{}
 	if !addedAfter.IsZero() {
 		params.Set("added_after", addedAfter.UTC().Format(time.RFC3339))
 	}
-	var m Manifest
-	err := c.get("/"+apiRoot+"/collections/"+url.PathEscape(collectionID)+"/manifest/", params, &m)
-	return m.Objects, err
+	var out []ManifestEntry
+	for {
+		var m Manifest
+		if err := c.get("/"+apiRoot+"/collections/"+url.PathEscape(collectionID)+"/manifest/", params, &m); err != nil {
+			return nil, err
+		}
+		out = append(out, m.Objects...)
+		if !m.More {
+			return out, nil
+		}
+		params.Set("next", m.Next)
+	}
 }
 
 // AddObjects submits STIX objects to a writable collection.

@@ -50,11 +50,11 @@ func NewV4() UUID {
 // NewV5 returns a name-based (version 5, SHA-1) UUID for the given namespace
 // and name. The same inputs always produce the same UUID.
 func NewV5(ns UUID, name []byte) UUID {
-	h := sha1.New()
-	h.Write(ns[:])
-	h.Write(name)
+	// Hashing one stack buffer keeps short names allocation-free.
+	var buf [128]byte
+	sum := sha1.Sum(append(append(buf[:0], ns[:]...), name...))
 	var u UUID
-	copy(u[:], h.Sum(nil))
+	copy(u[:], sum[:])
 	u.setVersion(5)
 	return u
 }
