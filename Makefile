@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-read bench-durability bench-correlate bench-obs bench-fanout bench-subs bench-mesh bench-lifecycle wsload-smoke subload-smoke meshload-smoke lifeload-smoke obs-smoke vet copyfree metrics-lint check
+.PHONY: build test race bench bench-read bench-durability bench-correlate bench-obs bench-fanout bench-subs bench-mesh bench-lifecycle wsload-smoke subload-smoke meshload-smoke lifeload-smoke obs-smoke fuzz-smoke vet copyfree metrics-lint check
 
 build:
 	$(GO) build ./...
@@ -112,6 +112,13 @@ obs-smoke:
 		|| { echo 'obs-smoke: /metrics missing build info'; exit 1; }; \
 	echo 'obs-smoke: /healthz /readyz /cluster/status /metrics OK'
 
+# Fuzz smoke: run the native FuzzParseMatch target (STIX pattern parse →
+# match, including the parse-time-compiled regexp and CIDR literals) for
+# 10s. A crasher is written under internal/stixpattern/testdata/fuzz/,
+# where plain `go test` replays it from then on.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzParseMatch$$' -fuzztime 10s -parallel 2 ./internal/stixpattern/
+
 vet:
 	$(GO) vet ./...
 
@@ -158,4 +165,4 @@ metrics-lint:
 	done; \
 	echo "metrics-lint: $$(echo "$$names" | wc -l) metric name literals OK"
 
-check: vet build test race copyfree metrics-lint obs-smoke wsload-smoke subload-smoke meshload-smoke lifeload-smoke
+check: vet build test race copyfree metrics-lint fuzz-smoke obs-smoke wsload-smoke subload-smoke meshload-smoke lifeload-smoke

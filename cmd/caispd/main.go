@@ -122,7 +122,7 @@ func run(dashAddr, tipAddr, taxiiAddr, dataDir, invPath, feedDir string,
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := platform.Start(ctx, 2*time.Second); err != nil {
+	if err := platform.Start(ctx, 0); err != nil {
 		return err
 	}
 

@@ -62,7 +62,7 @@ func main() {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	if err := platform.Start(ctx, 300*time.Millisecond); err != nil {
+	if err := platform.Start(ctx, 0); err != nil {
 		log.Fatal(err)
 	}
 	time.Sleep(3 * time.Second)

@@ -242,6 +242,13 @@ type Platform struct {
 
 	mu      sync.Mutex // guards pending
 	pending []normalize.Event
+	// kick wakes the composer: ingest posts into it (capacity 1, so posts
+	// while a wake-up is already queued coalesce) after appending to
+	// pending.
+	kick chan struct{}
+	// undispatched is the part of a stored batch the composer could not
+	// hand to the analyzer shards before cancellation; Stop analyzes it.
+	undispatched []*misp.Event
 
 	procMu    sync.Mutex
 	processed *ringset.Set // event UUIDs already analyzed (bounded FIFO)
@@ -318,6 +325,7 @@ func New(cfg Config) (*Platform, error) {
 		collector: collector,
 		analyzers: analyzers,
 		processed: ringset.New(maxProcessedTracked),
+		kick:      make(chan struct{}, 1),
 
 		compactAfter:      defaultCompactAfterOps,
 		compactAfterBytes: defaultCompactAfterBytes,
@@ -691,6 +699,10 @@ func (p *Platform) ingest(e normalize.Event) {
 	p.mu.Lock()
 	p.pending = append(p.pending, stored)
 	p.mu.Unlock()
+	select {
+	case p.kick <- struct{}{}:
+	default:
+	}
 }
 
 // classify tags unknown-category events from their textual context using
@@ -1035,17 +1047,17 @@ func shardOf(uuid string, n int) int {
 }
 
 // Start launches streaming mode: the feed scheduler polls on its
-// intervals, a composer goroutine flushes pending events every
-// flushInterval, and a sharded pool of analyzer goroutines consumes the
-// bus to run heuristic analysis concurrently.
-func (p *Platform) Start(ctx context.Context, flushInterval time.Duration) error {
+// intervals, a composer goroutine composes and stores pending events as
+// soon as they arrive, and a sharded pool of analyzer goroutines runs
+// heuristic analysis concurrently. The duration argument is ignored and
+// kept for compatibility: the composer is woken by ingest, not by a timer,
+// and a batch is whatever arrived while the previous one was being stored
+// and dispatched (DESIGN.md §7).
+func (p *Platform) Start(ctx context.Context, _ time.Duration) error {
 	p.runMu.Lock()
 	defer p.runMu.Unlock()
 	if p.started {
 		return fmt.Errorf("core: platform already started")
-	}
-	if flushInterval <= 0 {
-		flushInterval = time.Second
 	}
 	ctx, p.cancel = context.WithCancel(ctx)
 	p.started = true
@@ -1127,12 +1139,14 @@ func (p *Platform) Start(ctx context.Context, flushInterval time.Duration) error
 		}
 	}()
 
-	// Flusher: locally composed clusters are handed to the analyzer
-	// shards directly — the flusher already owns the stored events, and
-	// the bus's drop-oldest buffer must not be a loss point for our own
-	// flushes (it remains the path for externally injected events: TIP
-	// sync imports and REST posts; the bus copy of a locally dispatched
-	// event is deduplicated by the analyzer's idempotency key).
+	// Flusher: woken by ingest, it drains everything pending into one
+	// group-committed flush. Locally composed clusters are handed to the
+	// analyzer shards directly — the flusher already owns the stored
+	// events, and the bus's drop-oldest buffer must not be a loss point
+	// for our own flushes (it remains the path for externally injected
+	// events: TIP sync imports and REST posts; the bus copy of a locally
+	// dispatched event is deduplicated by the analyzer's idempotency key).
+	// Cancelled mid-dispatch, it leaves the rest of the batch to Stop.
 	p.workers.Add(1)
 	go func() {
 		defer p.workers.Done()
@@ -1141,13 +1155,14 @@ func (p *Platform) Start(ctx context.Context, flushInterval time.Duration) error
 			select {
 			case <-ctx.Done():
 				return
-			case <-p.clk.After(flushInterval):
+			case <-p.kick:
 				stored, err := p.composeAndStore(p.drainPending())
 				if err != nil {
 					p.logger.Warn("composition failed", "error", err)
 				}
-				for _, me := range stored {
+				for i, me := range stored {
 					if !dispatch(me) {
+						p.undispatched = stored[i:]
 						return
 					}
 				}
@@ -1158,7 +1173,9 @@ func (p *Platform) Start(ctx context.Context, flushInterval time.Duration) error
 	return p.scheduler.Start(ctx)
 }
 
-// Stop ends streaming mode and flushes remaining pending events.
+// Stop ends streaming mode. Nothing collected is left unscored: after the
+// workers exit, Stop analyzes the stored events the composer had not
+// dispatched yet and flushes and analyzes the remaining pending events.
 func (p *Platform) Stop() {
 	p.runMu.Lock()
 	defer p.runMu.Unlock()
@@ -1172,7 +1189,12 @@ func (p *Platform) Stop() {
 	}
 	p.workers.Wait()
 	p.started = false
-	// Final flush so nothing collected is lost.
+	// The undispatched rest of the composer's last batch goes first: the
+	// final flush may store newer revisions of the same clusters.
+	if err := p.analyzeAll(p.undispatched); err != nil {
+		p.logger.Warn("final analysis failed", "error", err)
+	}
+	p.undispatched = nil
 	stored, err := p.composeAndStore(p.drainPending())
 	if err != nil {
 		p.logger.Warn("final composition failed", "error", err)

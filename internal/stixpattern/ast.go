@@ -140,15 +140,18 @@ type Comparison struct {
 	Negated bool
 	// Values holds one literal, or several for IN.
 	Values []Literal
-	// matcher is the LIKE/MATCHES regexp, compiled once at parse time.
-	// Hand-built Comparisons leave it nil and fall back to per-evaluation
+	// matcher is the LIKE/MATCHES regexp and cidr the ISSUBSET/ISSUPERSET
+	// address or network, both compiled once at parse time. Hand-built
+	// Comparisons leave them nil and fall back to per-evaluation
 	// compilation in the evaluator.
 	matcher *regexp.Regexp
+	cidr    *ipNet
 }
 
-// compileMatcher precompiles the LIKE/MATCHES regexp so evaluation never
-// recompiles it. A no-op for other operators or empty value lists.
-func (c *Comparison) compileMatcher() error {
+// compile precompiles the LIKE/MATCHES regexp or the ISSUBSET/ISSUPERSET
+// literal so evaluation never recompiles it. A no-op for other operators
+// or empty value lists.
+func (c *Comparison) compile() error {
 	if len(c.Values) == 0 {
 		return nil
 	}
@@ -158,6 +161,13 @@ func (c *Comparison) compileMatcher() error {
 		src = likeRegexpSource(c.Values[0].text())
 	case OpMatches:
 		src = c.Values[0].text()
+	case OpIsSubset, OpIsSuperset:
+		n, ok := parseIPNet(c.Values[0].text())
+		if !ok {
+			return fmt.Errorf("bad %s address or CIDR %q", c.Op, c.Values[0].text())
+		}
+		c.cidr = &n
+		return nil
 	default:
 		return nil
 	}

@@ -62,3 +62,35 @@ func BenchmarkSubsEvalMatchesRecompile(b *testing.B) {
 		"domain-name:value": {"malvertising-7.example"},
 	}))
 }
+
+// One ISSUBSET comparison against a literal compiled at parse time into a
+// netip-backed network: the observed value is parsed without allocating.
+// The Legacy variant runs the net.ParseCIDR/net.ParseIP implementation
+// that re-parsed both operands on every comparison (the differential-test
+// oracle).
+func BenchmarkSubsEvalCIDRPrecompiled(b *testing.B) {
+	p, err := Parse("[ipv4-addr:value ISSUBSET '192.0.2.0/24']")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cmp := p.Root.(ObsTest).Expr.(Comparison)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ok, err := cmp.compareValue("192.0.2.77")
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink = ok
+	}
+}
+
+func BenchmarkSubsEvalCIDRLegacy(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ok, err := legacyCIDRContains("192.0.2.0/24", "192.0.2.77")
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink = ok
+	}
+}

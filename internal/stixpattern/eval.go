@@ -2,7 +2,7 @@ package stixpattern
 
 import (
 	"fmt"
-	"net"
+	"net/netip"
 	"regexp"
 	"strconv"
 	"strings"
@@ -226,10 +226,22 @@ func (cmp Comparison) compareValue(value string) (bool, error) {
 			return false, fmt.Errorf("stixpattern: bad MATCHES regexp: %w", err)
 		}
 		return re.MatchString(value), nil
-	case OpIsSubset:
-		return cidrContains(literals[0].text(), value)
-	case OpIsSuperset:
-		return cidrContains(value, literals[0].text())
+	case OpIsSubset, OpIsSuperset:
+		if cmp.cidr == nil {
+			// Hand-built AST without a precompiled literal: parse it ad hoc.
+			if cmp.Op == OpIsSubset {
+				return cidrContains(literals[0].text(), value)
+			}
+			return cidrContains(value, literals[0].text())
+		}
+		v, err := parseOperand(value)
+		if err != nil {
+			return false, err
+		}
+		if cmp.Op == OpIsSubset {
+			return cmp.cidr.contains(v), nil
+		}
+		return v.contains(*cmp.cidr), nil
 	default:
 		return false, fmt.Errorf("stixpattern: unknown operator %q", cmp.Op)
 	}
@@ -302,39 +314,88 @@ func likeRegexpSource(pattern string) string {
 // cidrContains reports whether the network `outer` (CIDR or single IP)
 // contains `inner` (CIDR or single IP).
 func cidrContains(outer, inner string) (bool, error) {
-	_, outerNet, err := parseCIDRish(outer)
+	o, err := parseOperand(outer)
 	if err != nil {
 		return false, err
 	}
-	innerIP, innerNet, err := parseCIDRish(inner)
+	i, err := parseOperand(inner)
 	if err != nil {
 		return false, err
 	}
-	if !outerNet.Contains(innerIP) {
-		return false, nil
-	}
-	outerOnes, _ := outerNet.Mask.Size()
-	innerOnes, _ := innerNet.Mask.Size()
-	return innerOnes >= outerOnes, nil
+	return o.contains(i), nil
 }
 
-func parseCIDRish(s string) (net.IP, *net.IPNet, error) {
-	if strings.ContainsRune(s, '/') {
-		ip, ipnet, err := net.ParseCIDR(s)
-		if err != nil {
-			return nil, nil, fmt.Errorf("stixpattern: bad CIDR %q: %w", s, err)
+// ipNet is one ISSUBSET/ISSUPERSET operand: a bare IP or a CIDR. bits is
+// the width of its notation — 32 for dotted-quad CIDRs and for bare IPv4
+// or IPv4-mapped addresses, 128 otherwise — and ones the prefix length as
+// written (bits for a bare IP). The rules follow net.ParseCIDR,
+// net.ParseIP and net.IPNet.Contains; TestCIDRMatchesLegacy checks the
+// agreement.
+type ipNet struct {
+	addr       netip.Addr // as written, unmasked, in 16-byte form
+	ones, bits int
+}
+
+// parseIPNet parses an operand with net/netip; a valid one costs no
+// allocation. Zoned addresses and prefix lengths beyond the notation's
+// width are rejected; leading zeros in the prefix length are accepted.
+func parseIPNet(s string) (ipNet, bool) {
+	addrText, onesText, isCIDR := strings.Cut(s, "/")
+	addr, err := netip.ParseAddr(addrText)
+	if err != nil || addr.Zone() != "" {
+		return ipNet{}, false
+	}
+	n := ipNet{addr: netip.AddrFrom16(addr.As16()), bits: addr.BitLen()}
+	if !isCIDR {
+		if addr.Is4In6() {
+			n.bits = 32
 		}
-		return ip, ipnet, nil
+		n.ones = n.bits
+		return n, true
 	}
-	ip := net.ParseIP(s)
-	if ip == nil {
-		return nil, nil, fmt.Errorf("stixpattern: bad IP %q", s)
+	if onesText == "" {
+		return ipNet{}, false
 	}
-	bits := 32
-	if ip.To4() == nil {
-		bits = 128
+	for i := 0; i < len(onesText); i++ {
+		c := onesText[i]
+		if c < '0' || c > '9' {
+			return ipNet{}, false
+		}
+		if n.ones = n.ones*10 + int(c-'0'); n.ones > n.bits {
+			return ipNet{}, false
+		}
 	}
-	return ip, &net.IPNet{IP: ip, Mask: net.CIDRMask(bits, bits)}, nil
+	return n, true
+}
+
+// parseOperand is parseIPNet for an evaluation-time value, with an error.
+func parseOperand(s string) (ipNet, error) {
+	n, ok := parseIPNet(s)
+	if !ok {
+		return ipNet{}, fmt.Errorf("stixpattern: bad IP or CIDR %q", s)
+	}
+	return n, nil
+}
+
+// contains reports whether the network n contains inner: inner's address
+// lies in n's network and inner's prefix is at least as long as n's.
+func (n ipNet) contains(inner ipNet) bool {
+	return n.prefix().Contains(inner.addr.Unmap()) && inner.ones >= n.ones
+}
+
+// prefix is the network n denotes. An IPv4 notation, or an IPv4-mapped
+// IPv6 network whose prefix keeps the whole ::ffff: mapping, is an IPv4
+// network (matching only IPv4 and IPv4-mapped addresses); any other
+// network is IPv6 and matches only non-mapped IPv6 addresses.
+func (n ipNet) prefix() netip.Prefix {
+	if n.addr.Is4In6() && (n.bits == 32 || n.ones >= 96) {
+		ones := n.ones
+		if n.bits == 128 {
+			ones -= 96
+		}
+		return netip.PrefixFrom(n.addr.Unmap(), ones)
+	}
+	return netip.PrefixFrom(n.addr, n.ones)
 }
 
 func union(a, b []int) []int {

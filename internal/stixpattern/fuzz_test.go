@@ -39,6 +39,16 @@ func FuzzParseMatch(f *testing.F) {
 		"[file:name MATCHES '^mal(ware)?\\\\.exe$']",
 		"[domain-name:value MATCHES '(evil|bad)\\\\.example' AND x:score > 2.5]",
 		"[a:b MATCHES '('", // unbalanced regexp AND bracket: must just error
+		// Parse-time-compiled CIDR literals: ISSUPERSET, IPv6, IPv4-mapped,
+		// and malformed networks that must be parse errors.
+		"[ipv4-addr:value ISSUPERSET '198.51.100.7']",
+		"[ipv6-addr:value ISSUBSET '2001:db8::/32']",
+		"[ipv6-addr:value ISSUPERSET '2001:db8::1']",
+		"[ipv4-addr:value ISSUBSET '::ffff:198.51.100.0/120']",
+		"[ipv4-addr:value ISSUBSET '198.51.100.0/33']",
+		"[ipv6-addr:value ISSUBSET '2001:db8::/129']",
+		"[ipv4-addr:value ISSUPERSET '198.51.100.0/']",
+		"[ipv6-addr:value ISSUBSET 'fe80::1%eth0/64']",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -46,7 +56,7 @@ func FuzzParseMatch(f *testing.F) {
 	obs := Observation{At: time.Unix(0, 0), Fields: map[string][]string{
 		"a:b": {"x"}, "domain-name:value": {"evil.example"},
 		"file:name": {"malware.exe"}, "url:value": {"http://x.y/a.bin"},
-		"ipv4-addr:value": {"198.51.100.7"},
+		"ipv4-addr:value": {"198.51.100.7"}, "ipv6-addr:value": {"2001:db8::1", "::ffff:198.51.100.7"},
 	}}
 	f.Fuzz(func(t *testing.T, input string) {
 		p, err := Parse(input)

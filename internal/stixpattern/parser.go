@@ -338,10 +338,11 @@ func (p *parser) parseComparison() (CompareExpr, error) {
 		return nil, err
 	}
 	cmp.Values = []Literal{lit}
-	// Compile LIKE/MATCHES once here so evaluation never recompiles, and so
-	// an unparsable MATCHES regexp is a positioned parse error rather than a
-	// per-evaluation failure.
-	if err := cmp.compileMatcher(); err != nil {
+	// Compile LIKE/MATCHES/ISSUBSET/ISSUPERSET literals once here so
+	// evaluation never recompiles them, and so an unparsable MATCHES regexp
+	// or CIDR is a positioned parse error rather than a per-evaluation
+	// failure.
+	if err := cmp.compile(); err != nil {
 		return nil, syntaxErrf(litPos, "%v", err)
 	}
 	return cmp, nil
